@@ -1,8 +1,8 @@
 package trinit
 
 // Benchmarks regenerating the paper's evaluation artefacts, one per
-// experiment of DESIGN.md §4 (E1–E6), plus micro-benchmarks for the main
-// substrates. Run with:
+// experiment E1–E6 (see package internal/experiments), plus
+// micro-benchmarks for the main substrates. Run with:
 //
 //	go test -bench=. -benchmem
 //
@@ -211,7 +211,7 @@ func BenchmarkEngineQuery(b *testing.B) {
 }
 
 // BenchmarkE7RuleSourceAblation measures the cumulative rule-source
-// ablation (DESIGN.md E7).
+// ablation (experiment E7).
 func BenchmarkE7RuleSourceAblation(b *testing.B) {
 	w := world()
 	b.ResetTimer()
@@ -224,7 +224,7 @@ func BenchmarkE7RuleSourceAblation(b *testing.B) {
 }
 
 // BenchmarkE8ScoringAblation measures the scoring-model ablation
-// (DESIGN.md E8).
+// (experiment E8).
 func BenchmarkE8ScoringAblation(b *testing.B) {
 	w := world()
 	b.ResetTimer()

@@ -1,11 +1,11 @@
 // Command trinit-bench regenerates the paper's evaluation artefacts
-// (experiments E1–E6) plus the ablation studies E7–E8, the durability
-// experiment E9 and the sharded-execution experiment E10; see DESIGN.md
-// §4 and EXPERIMENTS.md.
+// (experiments E1–E6) plus the ablation studies E7–E8 and the durability
+// experiment E9. Each experiment's runner and its columns are documented
+// in package internal/experiments.
 //
 // Usage:
 //
-//	trinit-bench [-exp all|e1|...|e10|e5,e9,e10] [-scale small|bench|benchxN] [-queries 70] [-seed 1] [-json BENCH_10.json]
+//	trinit-bench [-exp all|e1|...|e9|e5,e9] [-scale small|bench|benchxN] [-queries 70] [-seed 1] [-json BENCH_10.json]
 //
 // -scale benchxN multiplies the bench world's entity counts by N (e.g.
 // benchx100 for a ~100× world) — the regime where zero-copy mapped
@@ -14,9 +14,8 @@
 // -exp accepts a comma-separated list. With -json, the E5 efficiency
 // metrics (main table, join-kernel ablation, token-matching ablation,
 // serial-vs-parallel scheduling, each with ns/op) — plus the E9
-// persistence rows when e9 runs and the E10 sharding rows when e10 runs
-// — are additionally written as a machine-readable artifact, so CI runs
-// accumulate a perf trajectory.
+// persistence rows when e9 runs — are additionally written as a
+// machine-readable artifact, so CI runs accumulate a perf trajectory.
 package main
 
 import (
@@ -53,14 +52,10 @@ type benchArtifact struct {
 	// Persist holds the E9 durability rows (snapshot write/load
 	// wall-clock and bytes, delta-log throughput), present when e9 ran.
 	Persist []experiments.E9PersistRow `json:"persist,omitempty"`
-	// E10Shards holds the sharded scatter-gather rows (speedup vs
-	// unsharded, skew, bound broadcasts, cross-shard prunes, residual
-	// rewrites per N), present when e10 ran.
-	E10Shards []experiments.E10ShardRow `json:"e10_shards,omitempty"`
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiments to run: all, or a comma list of e1..e10")
+	exp := flag.String("exp", "all", "experiments to run: all, or a comma list of e1..e9")
 	scale := flag.String("scale", "small", "world scale: small, bench, or benchxN for an N-times bench world")
 	queries := flag.Int("queries", 70, "workload size (paper: 70)")
 	seed := flag.Int64("seed", 1, "world seed")
@@ -181,16 +176,8 @@ func main() {
 			art.Persist = rows
 		}
 	}
-	if want("e10") {
-		ran = true
-		rows := experiments.RunE10Shards(world(), min(*queries, 20), 10, nil)
-		fmt.Println(experiments.FormatE10Shards(rows))
-		if art != nil {
-			art.E10Shards = rows
-		}
-	}
 	if !ran {
-		fmt.Fprintf(os.Stderr, "trinit-bench: unknown experiment %q (use all, or a comma list of e1..e10)\n", *exp)
+		fmt.Fprintf(os.Stderr, "trinit-bench: unknown experiment %q (use all, or a comma list of e1..e9)\n", *exp)
 		os.Exit(2)
 	}
 	if *jsonPath != "" {

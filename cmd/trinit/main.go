@@ -86,7 +86,7 @@ func runREPL(engine *trinit.Engine, in io.Reader, out io.Writer) {
 			return
 		case line == ".help":
 			fmt.Fprintln(out, "queries: triple patterns, e.g.  AlbertEinstein affiliation ?x ; ?x member IvyLeague")
-			fmt.Fprintln(out, "commands: .ask <question> .watch <query> .stats .serving .shards [n] .rules .rule <id> <w> <rule> .complete <prefix> .explain <n> .trace .save <path> .load <path> .quit")
+			fmt.Fprintln(out, "commands: .ask <question> .watch <query> .stats .serving .rules .rule <id> <w> <rule> .complete <prefix> .explain <n> .trace .save <path> .load <path> .quit")
 		case line == ".stats":
 			s := engine.Stats()
 			fmt.Fprintf(out, "triples=%d (KG %d, XKG %d) terms=%d predicates=%d (%d token) rules=%d\n",
@@ -102,32 +102,6 @@ func runREPL(engine *trinit.Engine, in io.Reader, out io.Writer) {
 				fmt.Fprintf(out, "admission: capacity=%d in_use=%d queued=%d admitted=%d avg_wait=%s\n",
 					a.Capacity, a.InUse, a.Queued, a.Admitted, a.AvgWait)
 			}
-		case line == ".shards" || strings.HasPrefix(line, ".shards "):
-			// .shards prints the sharded-execution state; .shards <n>
-			// repartitions the frozen store in place (1 = unsharded).
-			if arg := strings.TrimSpace(strings.TrimPrefix(line, ".shards")); arg != "" {
-				n, err := strconv.Atoi(arg)
-				if err != nil || n < 1 {
-					fmt.Fprintln(out, "usage: .shards [n>=1]")
-					break
-				}
-				if err := engine.Reshard(n); err != nil {
-					fmt.Fprintf(out, "error: %v\n", err)
-					break
-				}
-			}
-			ss := engine.ShardingStats()
-			if ss.Shards == 0 {
-				fmt.Fprintln(out, "sharding: off (single store; .shards <n> to partition)")
-				break
-			}
-			fmt.Fprintf(out, "sharding: %d shards, skew %.2f, %d replicated predicates (%d triples copied)\n",
-				ss.Shards, ss.Skew, ss.ReplicatedPreds, ss.ReplicatedTriples)
-			for j := range ss.Triples {
-				fmt.Fprintf(out, "  shard %d: %d triples (%d owned)\n", j, ss.Triples[j], ss.Owned[j])
-			}
-			fmt.Fprintf(out, "  queries=%d bound_broadcasts=%d cross_shard_prunes=%d residual_rewrites=%d merge=%s\n",
-				ss.ShardedQueries, ss.BoundBroadcasts, ss.CrossShardPrunes, ss.ResidualRewrites, ss.MergeTime)
 		case line == ".rules":
 			for _, r := range engine.Rules() {
 				fmt.Fprintf(out, "  %-24s %s\n", r.ID, r.Rule)

@@ -147,25 +147,6 @@ func TestREPLSnapshotSaveLoad(t *testing.T) {
 	}
 }
 
-// TestREPLShards: .shards reports the off state, .shards <n> partitions
-// the demo store in place, queries still answer (through the
-// coordinator), and .shards 1 returns to the single-store pipeline.
-func TestREPLShards(t *testing.T) {
-	out := session(t, ".shards\n.shards 2\nAlbertEinstein hasAdvisor ?x\n.shards 1\n.shards bogus\n.quit\n")
-	for _, want := range []string{
-		"sharding: off",
-		"sharding: 2 shards",
-		"shard 0:",
-		"shard 1:",
-		"AlfredKleiner",
-		"usage: .shards",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("transcript missing %q:\n%s", want, out)
-		}
-	}
-}
-
 func TestREPLEOFExits(t *testing.T) {
 	// No .quit: the loop must end at EOF without hanging.
 	out := session(t, ".stats\n")

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	trinitd [-addr :8080] [-synthetic] [-people N] [-seed S] [-data DIR] [-shards N] [-mmap=false] [-pprof localhost:6060]
+//	trinitd [-addr :8080] [-synthetic] [-people N] [-seed S] [-data DIR] [-mmap=false] [-pprof localhost:6060]
 //
 // By default the server hosts the paper's worked example (Figures 1-4);
 // with -synthetic it generates the synthetic world, builds the XKG from
@@ -54,8 +54,6 @@ func main() {
 		"admission wait-queue bound; beyond it queries are shed with 429 (0 = 4x capacity)")
 	queryBudget := flag.Int64("query-budget", 0,
 		"default per-query cost budget in join branches; exceeding it returns a partial result (0 = unlimited)")
-	shards := flag.Int("shards", 1,
-		"partition the store into N shards and scatter-gather queries across them (1 = unsharded)")
 	mmap := flag.Bool("mmap", true,
 		"serve the -data snapshot zero-copy from a memory-mapped segment when the file and host allow it (-mmap=false forces eager decode)")
 	flag.Parse()
@@ -161,13 +159,6 @@ func main() {
 		if *queryBudget > 0 {
 			engine.SetDefaultBudget(trinit.Budget{JoinBranches: *queryBudget})
 		}
-		if *shards > 1 {
-			// Degrade to unsharded rather than refuse to serve: the data
-			// is identical either way, only the execution layout differs.
-			if err := engine.Reshard(*shards); err != nil {
-				log.Printf("trinitd: sharding disabled: %v", err)
-			}
-		}
 		published.Store(engine)
 		hs.Publish(engine)
 
@@ -181,10 +172,6 @@ func main() {
 		if *maxInflight > 0 {
 			log.Printf("trinitd: admission capacity %d (queue %d), default budget %d join branches",
 				*maxInflight, *admissionQueue, *queryBudget)
-		}
-		if ss := engine.ShardingStats(); ss.Shards > 0 {
-			log.Printf("trinitd: sharded execution across %d shards: triples per shard %v (owned %v), %d replicated predicates, skew %.2f",
-				ss.Shards, ss.Triples, ss.Owned, ss.ReplicatedPreds, ss.Skew)
 		}
 	}()
 

@@ -330,13 +330,6 @@ func (e *Engine) applyWALRecord(rec serial.WALRecord) error {
 // (demo, synthetic, or TNT-loaded): it writes the initial snapshot at
 // epoch 1 and opens a fresh write-ahead log. The directory must not
 // already hold a snapshot or log — reopen those with Open instead.
-//
-// Sharded engines persist exactly like unsharded ones: the snapshot
-// always images the retained full store, never the per-shard partitions,
-// so the on-disk format is independent of Options.Shards and a directory
-// written at one shard count reopens at any other (partitioning is a
-// deterministic function of the store and N, recomputed by Open). Use
-// SaveShardSnapshots for per-shard images.
 func (e *Engine) Persist(dir string) error {
 	if e.dur.Load() != nil {
 		return fmt.Errorf("trinit: engine is already durable")
@@ -373,8 +366,6 @@ func (e *Engine) Persist(dir string) error {
 // by epoch. The engine must be frozen and durable. On failure the
 // engine's durability fails stop (see the package invariants): the
 // directory still holds a consistent state, but it must be reopened.
-// Like Persist, Checkpoint snapshots the retained full store, so its
-// output is identical whether or not the engine runs sharded.
 func (e *Engine) Checkpoint() error {
 	d := e.dur.Load()
 	if d == nil {
@@ -560,46 +551,6 @@ func (e *Engine) snapshotStore() *store.Store {
 		return materializeStore(cur.st)
 	}
 	return cur.st
-}
-
-// SaveShardSnapshots writes one standalone snapshot per shard into dir
-// (shard-000.trnt, shard-001.trnt, …) and returns the paths written.
-// Each file is a complete engine image — the shard's store, the shared
-// (replicated) dictionary and provenance table, and the full rule set —
-// loadable with LoadSnapshot: the bootstrap file a shard node of a
-// networked deployment would receive. The engine must be frozen.
-//
-// On an unsharded engine the single shard-000.trnt images the full
-// store and is byte-identical to SaveSnapshot's output; a 1-shard
-// engine produces the same bytes, because shard 0 of a 1-shard
-// partition replays the source store's exact triple sequence.
-func (e *Engine) SaveShardSnapshots(dir string) ([]string, error) {
-	e.mu.RLock()
-	frozen, rules, group := e.frozen, e.rules, e.group
-	e.mu.RUnlock()
-	if !frozen {
-		return nil, fmt.Errorf("%w: SaveShardSnapshots requires a frozen engine", ErrNotFrozen)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var stores []*store.Store
-	if group != nil {
-		for i := 0; i < group.Shards(); i++ {
-			stores = append(stores, group.Store(i))
-		}
-	} else {
-		stores = []*store.Store{e.snapshotStore()}
-	}
-	paths := make([]string, 0, len(stores))
-	for i, st := range stores {
-		p := filepath.Join(dir, fmt.Sprintf("shard-%03d.trnt", i))
-		if err := serial.WriteSnapshotFile(p, st, rules, 1); err != nil {
-			return nil, err
-		}
-		paths = append(paths, p)
-	}
-	return paths, nil
 }
 
 // LoadSnapshot restores a frozen, queryable engine from a snapshot file

@@ -97,7 +97,7 @@ func internFact(dict *rdf.Dict, prov *rdf.ProvTable, f Fact) (rdf.Triple, error)
 // pre-Freeze Add path). On durable engines the batch is written ahead to
 // the log before publication. Queries never block on ingest: in-flight
 // ones keep the store version they started with, later ones see the whole
-// batch. Sharded engines (Options.Shards > 1) do not support live ingest.
+// batch.
 func (e *Engine) IngestFacts(facts []Fact) (int, error) {
 	if len(facts) == 0 {
 		return 0, nil
@@ -107,13 +107,10 @@ func (e *Engine) IngestFacts(facts []Fact) (int, error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
 	e.mu.RLock()
-	frozen, group := e.frozen, e.group
+	frozen := e.frozen
 	e.mu.RUnlock()
 	if !frozen {
 		return 0, fmt.Errorf("%w: IngestFacts requires a frozen engine (use AddKGFact/AddTokenTriple before Freeze)", ErrNotFrozen)
-	}
-	if group != nil {
-		return 0, fmt.Errorf("trinit: live ingest is not supported on sharded engines (Reshard(1) first)")
 	}
 	cur := e.currentVersion()
 	defer cur.unpin()

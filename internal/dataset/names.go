@@ -1,8 +1,7 @@
 // Package dataset provides the data substrates of the reproduction: the
 // paper's worked example (Figures 1–4), and seeded synthetic generators
 // that stand in for the Yago2s knowledge graph, the ClueWeb'09 text corpus,
-// and the 70-query evaluation workload (see DESIGN.md §2 for the
-// substitution rationale).
+// and the 70-query evaluation workload.
 package dataset
 
 import (

@@ -1,6 +1,7 @@
-// Package experiments implements the reproduction experiments E1–E6
-// catalogued in DESIGN.md §4 — one per evaluation artefact of the paper —
-// plus the ablation studies E7 (rule sources) and E8 (scoring effects).
+// Package experiments implements the reproduction experiments E1–E6 —
+// one per evaluation artefact of the paper — plus the ablation studies
+// E7 (rule sources) and E8 (scoring effects) and the durability
+// experiment E9 (persist.go).
 // The same runners back both cmd/trinit-bench (human-readable tables) and
 // the root-level testing.B benchmarks.
 package experiments

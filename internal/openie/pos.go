@@ -9,7 +9,7 @@
 // confidence estimation from surface features.
 //
 // It replaces the ReVerb/OLLIE binaries the original system ran over
-// ClueWeb'09; see DESIGN.md §2 for the substitution argument.
+// ClueWeb'09, which this self-contained reproduction cannot ship.
 package openie
 
 import "strings"

@@ -67,7 +67,8 @@ type Match struct {
 // probability and suffix the best possible completion of the remaining
 // patterns, so (weighted·Prob)·suffix is the branch's score bound —
 // computed with exactly the association the tuple kernel uses, so both
-// kernels take bit-identical pruning decisions. Candidates arrive in
+// kernels take bit-identical pruning decisions. limit carries the
+// caller's rounding margin below the k-th score. Candidates arrive in
 // descending Prob order, hence the first bound strictly below limit cuts
 // the whole remaining column. It returns the extended column and the
 // number of candidates consumed; limit 0 never cuts (bounds are
@@ -149,17 +150,6 @@ type Matcher struct {
 	// selectivity estimate and the matcher. The returned slice is treated
 	// as read-only and may be shared across goroutines.
 	Resolver func(tok string, minSim float64) []store.ScoredTerm
-	// Mass, when set, overrides the normalisation denominator of each
-	// pattern's match list: it receives the pattern and the locally
-	// accumulated mass and returns the mass to divide by. A sharded
-	// engine installs a hook returning the pattern's mass over the
-	// whole corpus, so per-shard lists normalise with global statistics
-	// and every shard's emission probabilities are bit-identical to the
-	// unsharded matcher's — the distributed-IDF exchange of search
-	// engines, applied to the scoring model's idf-like effect. Ignored
-	// under NoNormalize. Implementations must be safe for concurrent
-	// use and deterministic.
-	Mass func(p query.Pattern, local float64) float64
 }
 
 // NewMatcher returns a matcher with default thresholds.
@@ -241,10 +231,10 @@ func (m *Matcher) MatchPatternCounted(p query.Pattern) ([]Match, MatchStats) {
 				m.appendMatch(&out, &cp, id, r.factor)
 			}
 		}
-		return m.finish(p, out), stats
+		return m.finish(out), stats
 	}
 	stats.ScanFallback = cp.hasToken
-	return m.finish(p, m.gatherScan(&cp, &stats)), stats
+	return m.finish(m.gatherScan(&cp, &stats)), stats
 }
 
 // appendMatch scores one candidate triple and appends it unless a repeated
@@ -402,7 +392,7 @@ func (m *Matcher) resolveToken(tok string) []store.ScoredTerm {
 // accumulated in ascending triple-ID order — a canonical order shared by
 // the token-resolved and scan paths, so both sum the same floats in the
 // same sequence and produce bit-identical probabilities.
-func (m *Matcher) finish(p query.Pattern, out []Match) []Match {
+func (m *Matcher) finish(out []Match) []Match {
 	if len(out) == 0 {
 		return out
 	}
@@ -415,36 +405,14 @@ func (m *Matcher) finish(p query.Pattern, out []Match) []Match {
 		for i := range out {
 			out[i].Prob = out[i].Raw
 		}
-	} else {
-		if m.Mass != nil {
-			mass = m.Mass(p, mass)
-		}
-		if mass > 0 {
-			for i := range out {
-				out[i].Prob = out[i].Raw / mass
-			}
+	} else if mass > 0 {
+		for i := range out {
+			out[i].Prob = out[i].Raw / mass
 		}
 	}
 	// Stable on a triple-ID-sorted list: ties by ascending triple ID.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Prob > out[j].Prob })
 	return out
-}
-
-// MatchMass returns the pattern's total match mass — the normalisation
-// denominator Σ conf·match of MatchPattern, accumulated in the same
-// canonical ascending triple-ID order finish uses, so the returned float
-// is bit-identical to the denominator an unhooked matcher over the same
-// store would divide by. It is the statistics side of distributed
-// normalisation: a coordinator computes it over the whole corpus and
-// serves it to per-shard matchers through the Mass hook.
-func (m *Matcher) MatchMass(p query.Pattern) float64 {
-	out, _ := m.MatchPatternCounted(p)
-	sort.Slice(out, func(i, j int) bool { return out[i].Triple < out[j].Triple })
-	var mass float64
-	for i := range out {
-		mass += out[i].Raw
-	}
-	return mass
 }
 
 // bind computes variable bindings for a triple, enforcing that repeated

@@ -148,33 +148,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metric(&b, "trinit_ingested_facts_total", "counter",
 		"Facts applied by live ingest since the engine started.", mem.IngestedFacts)
 
-	if ss := e.ShardingStats(); ss.Shards > 0 {
-		metric(&b, "trinit_shards", "gauge",
-			"Shard count of the sharded execution group.", ss.Shards)
-		fmt.Fprintf(&b, "# HELP trinit_shard_triples Triples held per shard, replicated copies included.\n# TYPE trinit_shard_triples gauge\n")
-		for j, c := range ss.Triples {
-			fmt.Fprintf(&b, "trinit_shard_triples{shard=%q} %d\n", strconv.Itoa(j), c)
-		}
-		fmt.Fprintf(&b, "# HELP trinit_shard_owned_triples Triples owned per shard by subject hash.\n# TYPE trinit_shard_owned_triples gauge\n")
-		for j, c := range ss.Owned {
-			fmt.Fprintf(&b, "trinit_shard_owned_triples{shard=%q} %d\n", strconv.Itoa(j), c)
-		}
-		metric(&b, "trinit_shard_skew", "gauge",
-			"Ownership skew, max over mean owned triples (1.0 = balanced).", ss.Skew)
-		metric(&b, "trinit_shard_replicated_predicates", "gauge",
-			"Predicates replicated to every shard for join co-location.", ss.ReplicatedPreds)
-		metric(&b, "trinit_sharded_queries_total", "counter",
-			"Queries evaluated through the scatter-gather coordinator.", ss.ShardedQueries)
-		metric(&b, "trinit_bound_broadcasts_total", "counter",
-			"Bound-raising k-th-score exchanges between shards.", ss.BoundBroadcasts)
-		metric(&b, "trinit_cross_shard_prunes_total", "counter",
-			"Prune decisions taken against a bound another shard published.", ss.CrossShardPrunes)
-		metric(&b, "trinit_residual_rewrites_total", "counter",
-			"Rewrites evaluated on the coordinator's residual full-store run.", ss.ResidualRewrites)
-		metric(&b, "trinit_shard_merge_seconds_total", "counter",
-			"Cumulative wall-clock time merging per-shard rankings.", ss.MergeTime.Seconds())
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(b.String()))

@@ -11,6 +11,9 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -124,39 +127,24 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	if strings.Contains(body, "trinit_shards") {
-		t.Fatal("unsharded engine exposes shard metrics")
-	}
 }
 
-// TestMetricsEndpointSharded: a sharded engine additionally exposes the
-// partitioning gauges — per-shard triple counts under a shard label —
-// and the coordinator counters, and they move with traffic.
-func TestMetricsEndpointSharded(t *testing.T) {
-	e := trinit.NewDemoEngine()
-	if err := e.Reshard(2); err != nil {
+// TestReadmeMetricsExposed: every trinit_* metric the README documents
+// is exposed by /metrics, so the operator docs cannot name a metric the
+// daemon no longer serves.
+func TestReadmeMetricsExposed(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := New(e)
-	if rec := get(t, s, "/api/query?q="+escaped("AlbertEinstein hasAdvisor ?x")); rec.Code != http.StatusOK {
-		t.Fatalf("query: %d", rec.Code)
+	names := regexp.MustCompile(`trinit_[a-z0-9_]+`).FindAllString(string(readme), -1)
+	if len(names) == 0 {
+		t.Fatal("README names no trinit_* metric")
 	}
-	body := get(t, s, "/metrics").Body.String()
-	for _, want := range []string{
-		"trinit_shards 2",
-		`trinit_shard_triples{shard="0"}`,
-		`trinit_shard_triples{shard="1"}`,
-		`trinit_shard_owned_triples{shard="0"}`,
-		"trinit_shard_skew",
-		"trinit_shard_replicated_predicates",
-		"trinit_sharded_queries_total 1",
-		"trinit_bound_broadcasts_total",
-		"trinit_cross_shard_prunes_total",
-		"trinit_residual_rewrites_total",
-		"trinit_shard_merge_seconds_total",
-	} {
-		if !strings.Contains(body, want) {
-			t.Fatalf("sharded metrics missing %q:\n%s", want, body)
+	body := get(t, New(trinit.NewDemoEngine()), "/metrics").Body.String()
+	for _, name := range names {
+		if !strings.Contains(body, "# TYPE "+name+" ") {
+			t.Errorf("README names %s, which /metrics does not expose", name)
 		}
 	}
 }

@@ -141,18 +141,13 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 	incremental := r.opts.Mode == Incremental
 	// thLimit is the block-level score bound: 0 in exhaustive mode (a
 	// non-negative bound never goes below it, so BoundedExtend scans the
-	// full candidate list), the shared top-k threshold in incremental
-	// mode. It is refreshed at block boundaries — a flush may have
-	// recorded answers that tightened it — not per tuple, so it is only
-	// ever staler (never tighter) than the tuple kernel's bound.
+	// full candidate list), the pruneLimit of the shared top-k threshold
+	// in incremental mode. It is refreshed at block boundaries — a flush
+	// may have recorded answers that tightened it — not per tuple, so it
+	// is only ever staler (never tighter) than the tuple kernel's bound.
 	var thLimit float64
-	// thRemote marks that the captured bound was driven by a remote
-	// shard's broadcast rather than local answers, attributing this
-	// block's tail cuts to cross-shard pruning.
-	var thRemote bool
 	if incremental {
-		thRemote = e.state.remoteAhead()
-		thLimit = e.state.threshold()
+		thLimit = pruneLimit(e.state.threshold())
 	}
 
 	// flush extends the filled output block through the remaining
@@ -176,8 +171,7 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 		}
 		out.resetRows()
 		if incremental {
-			thRemote = e.state.remoteAhead()
-			thLimit = e.state.threshold()
+			thLimit = pruneLimit(e.state.threshold())
 		}
 		return true
 	}
@@ -231,9 +225,6 @@ func (r *run) blockExtend(e *joinEnv, d int) {
 			// probability, so the whole tail is below the bound.
 			e.m.PrunedBranches++
 			e.m.BlockRowsFiltered += total - consumed
-			if thRemote {
-				e.m.CrossShardPrunes++
-			}
 		}
 		for j := 0; j < consumed; j++ {
 			p := j

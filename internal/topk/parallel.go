@@ -81,7 +81,6 @@ func (m *Metrics) merge(o *Metrics) {
 	m.ScanFallbacks += o.ScanFallbacks
 	m.BlocksEmitted += o.BlocksEmitted
 	m.BlockRowsFiltered += o.BlockRowsFiltered
-	m.CrossShardPrunes += o.CrossShardPrunes
 }
 
 // runParallel is Run's parallel scheduler: workers pull rewrite indices
@@ -96,7 +95,6 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 		k = q.Limit
 	}
 	st := newState(k, true)
-	st.remote = cfg.Bound
 
 	// Workers poll an internal context layered over the caller's: a
 	// recovered worker panic cancels it, so siblings drain at their next
@@ -112,10 +110,7 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 	// The cost budget is one shared account: all workers charge it, and
 	// the first to observe exhaustion stops the queue for everyone.
 	var bt *budgetTracker
-	switch {
-	case cfg.BudgetShare != nil:
-		bt = &cfg.BudgetShare.budgetTracker
-	case cfg.Budget.limited():
+	if cfg.Budget.limited() {
 		bt = newBudgetTracker(cfg.Budget)
 	}
 
@@ -148,10 +143,9 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 	// whole tail dominated; the bound is strict, as in the serial
 	// schedule, so rewrites able to tie the k-th score still run.
 	var (
-		qmu        sync.Mutex
-		next       int
-		skipFrom   = len(rewrites)
-		skipRemote bool
+		qmu      sync.Mutex
+		next     int
+		skipFrom = len(rewrites)
 	)
 	pop := func() (int, bool) {
 		qmu.Lock()
@@ -166,7 +160,6 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 		}
 		if opts.Mode == Incremental && rewrites[next].Weight < st.threshold() {
 			skipFrom = next
-			skipRemote = st.crossShard(rewrites[next].Weight)
 			next = len(rewrites)
 			return 0, false
 		}
@@ -256,10 +249,6 @@ func (ev *Executor) runParallel(ctx context.Context, q *query.Query, rewrites []
 	popped := next
 	if skipFrom < len(rewrites) {
 		m.RewritesSkipped = len(rewrites) - skipFrom
-		if skipRemote {
-			// Only the remote shard bound proved the tail dominated.
-			m.CrossShardPrunes += len(rewrites) - skipFrom
-		}
 		popped = skipFrom
 	}
 	m.RewritesEvaluated = popped

@@ -71,31 +71,6 @@ func newBudgetTracker(b Budget) *budgetTracker {
 	return &budgetTracker{limits: b}
 }
 
-// BudgetShare is an externally owned budget charge account that several
-// Run calls charge together (RunConfig.BudgetShare): the sharded
-// coordinator hands every per-shard run the same share, so the caps
-// bound the query's total work across all shards — the cross-process
-// generalisation of the parallel scheduler's shared tracker. The zero
-// value is not useful; construct with NewBudgetShare.
-type BudgetShare struct {
-	budgetTracker
-}
-
-// NewBudgetShare returns a shared charge account enforcing b, or nil
-// when b sets no caps (so callers can pass the result straight into
-// RunConfig.BudgetShare unconditionally).
-func NewBudgetShare(b Budget) *BudgetShare {
-	if !b.limited() {
-		return nil
-	}
-	return &BudgetShare{budgetTracker{limits: b}}
-}
-
-// Exhausted reports whether any cap of the share has been crossed.
-func (b *BudgetShare) Exhausted() bool {
-	return b != nil && b.exhausted.Load()
-}
-
 // overBudget charges the run's uncharged metric growth against the
 // budget and reports whether the budget is now exhausted. Called from
 // the poll points only; the kernels' inner loops never see it. The

@@ -149,31 +149,6 @@ type RunConfig struct {
 	// Under a parallel schedule the budget bounds the query's total
 	// work across all workers.
 	Budget Budget
-	// BudgetShare, when non-nil, replaces Budget with an externally
-	// owned charge account shared across several Run calls — the sharded
-	// coordinator's "one budget for the whole query" semantics, exactly
-	// as the parallel scheduler shares one tracker across workers. When
-	// set, Budget is ignored.
-	BudgetShare *BudgetShare
-	// Bound, when non-nil, is an external k-th-score bound this run
-	// reads in addition to — and publishes into — its own local top-k
-	// threshold. It is the distributed analogue of state.bits: a sharded
-	// coordinator hands every shard the same BoundBroadcast so each
-	// shard prunes against the best k-th score any shard has proven. The
-	// same staleness argument applies — a stale remote bound is only
-	// ever lower than the true global bound, so pruning against it does
-	// extra work but never drops an answer.
-	Bound SharedBound
-}
-
-// SharedBound is an externally shared k-th-score bound: Publish offers a
-// shard's current k-th best score (implementations keep the maximum),
-// and Load returns the best score published so far (0 before any
-// Publish). Implementations must be safe for concurrent use; the engine's
-// implementation is shard.BoundBroadcast.
-type SharedBound interface {
-	Publish(score float64)
-	Load() float64
 }
 
 // cancelCheckInterval is how many join branches may run between two
@@ -183,6 +158,25 @@ type SharedBound interface {
 // 256 branches — while bounding the cancellation latency to well under
 // a millisecond of join work.
 const cancelCheckInterval = 256
+
+// pruneSlack is the relative margin by which a join branch's score bound
+// must fall below the k-th score before the branch is pruned. The bound
+// (W·acc·p)·suffix multiplies the factors of the score it bounds,
+// W·(acc·p·…), in a different order, so the two can round apart: each
+// product of m factors lies within (1±2⁻⁵³)^m of its exact value, and the
+// bound can land an ulp below the score of the very completion it
+// bounds. Pruning on the raw comparison would then drop a branch that
+// ties the k-th score — or keep it, depending on when the shared
+// threshold rose — and the key tie-break would rank a
+// schedule-dependent set. With the margin, a pruned branch's score is
+// strictly below the threshold for any join of fewer than ~4000
+// patterns. The margin only ever prunes less.
+const pruneSlack = 1e-12
+
+// pruneLimit returns the value a branch's score bound must fall below to
+// be pruned against the k-th score th (see pruneSlack). It maps 0 — no
+// threshold yet — to 0, which never prunes.
+func pruneLimit(th float64) float64 { return th * (1 - pruneSlack) }
 
 // Answer is one ranked result: a binding of the query's projected
 // variables with its score and best derivation.
@@ -272,18 +266,10 @@ type Metrics struct {
 	// NoTokenIndex, and otherwise only when the candidate cross-product
 	// exceeded the matcher's cutoff or scanning was provably cheaper.
 	ScanFallbacks int
-	// CrossShardPrunes counts prune decisions (cut join branches and
-	// skipped rewrites) that fired only because of a remote bound
-	// (RunConfig.Bound) raised above this run's own k-th score — the
-	// work another shard's answers saved this one. Zero without a shared
-	// bound. Like the other bound-dependent counters it may vary run to
-	// run under concurrency.
-	CrossShardPrunes int
 }
 
-// Add accumulates o into m, field by field, RewritesTotal included — the
-// coordinator-side aggregation across shards, where every shard ran the
-// full rewrite space against its own partition. Contrast with the
+// Add accumulates o into m, field by field, RewritesTotal included — for
+// callers summing the metrics of several runs. Contrast with the
 // parallel scheduler's internal merge, which deliberately leaves the
 // queue-owned rewrite counters to the scheduler.
 func (m *Metrics) Add(o Metrics) {
@@ -361,7 +347,13 @@ func NewExecutor(st *store.Store, cache *Cache, opts Options) *Executor {
 	if cache == nil {
 		cache = NewCache(0)
 	}
-	matcher := MatcherFor(st, opts)
+	matcher := score.NewMatcher(st)
+	if opts.MinTokenSim > 0 {
+		matcher.MinTokenSim = opts.MinTokenSim
+	}
+	matcher.UniformConf = opts.UniformConf
+	matcher.NoNormalize = opts.NoNormalize
+	matcher.NoTokenIndex = opts.NoTokenIndex
 	// Token resolutions are shared through the cache: the planner's
 	// selectivity estimates and the matcher's list builds reuse one
 	// inverted-index lookup per distinct token.
@@ -389,32 +381,6 @@ func New(st *store.Store, opts Options) *Evaluator {
 
 // Cache returns the executor's match-list cache.
 func (ev *Executor) Cache() *Cache { return ev.cache }
-
-// SetMassHook installs a normalisation-mass override on the executor's
-// matcher (see score.Matcher.Mass): the sharded coordinator points every
-// per-shard executor at the pattern's corpus-wide match mass, so shard
-// match lists carry globally normalised emission probabilities. Must be
-// set before the executor serves queries; executors sharing a cache must
-// agree on the hook, since cached lists are keyed by pattern text only.
-func (ev *Executor) SetMassHook(f func(p query.Pattern, local float64) float64) {
-	ev.matcher.Mass = f
-}
-
-// MatcherFor returns a fresh matcher configured exactly as NewExecutor
-// configures its internal one (token-similarity floor, scoring
-// ablations), minus the cache-backed token resolver. The sharded
-// coordinator uses it to compute corpus-wide normalisation masses with
-// the same configuration the per-shard executors match with.
-func MatcherFor(st *store.Store, opts Options) *score.Matcher {
-	m := score.NewMatcher(st)
-	if opts.MinTokenSim > 0 {
-		m.MinTokenSim = opts.MinTokenSim
-	}
-	m.UniformConf = opts.UniformConf
-	m.NoNormalize = opts.NoNormalize
-	m.NoTokenIndex = opts.NoTokenIndex
-	return m
-}
 
 // LastTrace returns the internal processing steps of the most recent
 // Evaluate call (§5: "TriniT can show internal steps").
@@ -473,10 +439,7 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 		done = ctx.Done()
 	}
 	r := &run{Executor: ev, opts: opts, done: done, emit: cfg.Emit, noTrace: cfg.NoTrace}
-	switch {
-	case cfg.BudgetShare != nil:
-		r.budget = &cfg.BudgetShare.budgetTracker
-	case cfg.Budget.limited():
+	if cfg.Budget.limited() {
 		r.budget = newBudgetTracker(cfg.Budget)
 	}
 	r.sc = ev.scratch
@@ -494,7 +457,6 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 	}
 
 	st := newState(k, false)
-	st.remote = cfg.Bound
 	var m Metrics
 	m.RewritesTotal = len(rewrites)
 	r.m = &m
@@ -536,12 +498,10 @@ func (ev *Executor) Run(ctx context.Context, q *query.Query, rewrites []relax.Re
 			// strict so that rewrites able to *tie* the k-th score
 			// still run — ties are broken deterministically by binding
 			// key, so dropping a tied answer exhaustive mode would have
-			// kept could change the result set.
+			// kept could change the result set. Unlike the join bound it
+			// needs no pruneSlack: a score W·x with x a product of
+			// probabilities ≤ 1 rounds to at most W.
 			m.RewritesSkipped = len(rewrites) - ri
-			if st.crossShard(rw.Weight) {
-				// Only the remote bound proved the tail dominated.
-				m.CrossShardPrunes += len(rewrites) - ri
-			}
 			for _, skipped := range rewrites[ri:] {
 				trace(skipped).Status = "skipped (weight bound)"
 			}
@@ -728,14 +688,6 @@ type state struct {
 	// bound — the threshold only ever rises — so pruning against it is
 	// safe under staleness: extra work, never a missed answer.
 	bits atomic.Uint64
-	// remote, when non-nil, is an externally shared bound
-	// (RunConfig.Bound): threshold reads take the max of the local and
-	// remote values, and publish forwards every local rise. A remote
-	// bound can only be lower than or equal to the final global k-th
-	// score — each shard's k-th score only rises towards its final
-	// value, which is itself <= the global one — so the same staleness
-	// argument as bits applies across shards.
-	remote SharedBound
 }
 
 // answerEntry is a stored answer plus the identity of the derivation
@@ -769,45 +721,16 @@ func newState(k int, concurrent bool) *state {
 
 // threshold returns the current k-th best answer score, or 0 when fewer
 // than k answers exist. Lock-free: this is the join kernel's score-bound
-// read, issued once per candidate branch. With a shared remote bound
-// attached it returns the max of the local and remote values — another
-// shard's proven k-th score prunes here exactly like a local one.
+// read, issued once per candidate branch.
 func (s *state) threshold() float64 {
-	t := math.Float64frombits(s.bits.Load())
-	if s.remote != nil {
-		if rt := s.remote.Load(); rt > t {
-			return rt
-		}
-	}
-	return t
+	return math.Float64frombits(s.bits.Load())
 }
 
-// crossShard reports whether a prune at the given bound is attributable
-// to the remote shared bound alone: the branch or rewrite would have
-// survived the local threshold. Callers invoke it only on the prune
-// path, so the extra atomic load stays off the hot path.
-func (s *state) crossShard(bound float64) bool {
-	return s.remote != nil && bound >= math.Float64frombits(s.bits.Load())
-}
-
-// remoteAhead reports whether the remote bound currently exceeds the
-// local one. The block kernel captures it alongside its block-level
-// bound snapshot as the attribution proxy for tail cuts (the cut
-// candidates' individual bounds are not materialised there).
-func (s *state) remoteAhead() bool {
-	return s.remote != nil && s.remote.Load() > math.Float64frombits(s.bits.Load())
-}
-
-// publish re-derives the atomic threshold from the heap root and, when a
-// shared remote bound is attached, broadcasts the rise to the other
-// shards. Callers hold mu when the state is concurrent.
+// publish re-derives the atomic threshold from the heap root. Callers
+// hold mu when the state is concurrent.
 func (s *state) publish() {
 	if len(s.top) >= s.k {
-		v := s.top[0].score
-		s.bits.Store(math.Float64bits(v))
-		if s.remote != nil {
-			s.remote.Publish(v)
-		}
+		s.bits.Store(math.Float64bits(s.top[0].score))
 	}
 }
 
@@ -932,26 +855,6 @@ func (s *state) swap(i, j int) {
 	s.top[i], s.top[j] = s.top[j], s.top[i]
 	s.pos[s.top[i].key] = i
 	s.pos[s.top[j].key] = j
-}
-
-// AnswerKey appends the canonical ranking key of an answer's bindings
-// over the projected variables to buf — the exact key both join kernels
-// feed the top-k state, exported so a coordinator merging rankings from
-// several executors breaks score ties precisely like a single run.
-func AnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte {
-	return appendAnswerKey(buf, b, proj)
-}
-
-// appendAnswerKey appends the canonical key of a binding over the
-// projected variables to buf, reusing its capacity across branches.
-func appendAnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte {
-	for _, v := range proj {
-		buf = append(buf, v...)
-		buf = append(buf, '=')
-		buf = strconv.AppendUint(buf, uint64(b[v]), 10)
-		buf = append(buf, ';')
-	}
-	return buf
 }
 
 // joinEnv bundles the per-rewrite inputs both join kernels consume —
@@ -1289,7 +1192,7 @@ func (r *run) tupleRec(e *joinEnv, depth int, partial float64) {
 		e.m.SortedAccesses++
 		if r.opts.Mode == Incremental {
 			bound := e.rw.Weight * partial * match.Prob * e.suffix[depth+1]
-			if bound < e.state.threshold() {
+			if bound < pruneLimit(e.state.threshold()) {
 				// The threshold is 0 until k answers exist, so this
 				// never fires early. Matches are sorted by descending
 				// probability: all remaining are worse. Strictly worse
@@ -1297,9 +1200,6 @@ func (r *run) tupleRec(e *joinEnv, depth int, partial float64) {
 				// must run so the deterministic tie-break over the full
 				// tied set matches exhaustive mode byte for byte.
 				e.m.PrunedBranches++
-				if e.state.crossShard(bound) {
-					e.m.CrossShardPrunes++
-				}
 				break
 			}
 		}

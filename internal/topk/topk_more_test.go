@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"strconv"
 	"testing"
 
 	"trinit/internal/query"
@@ -382,4 +383,16 @@ func TestFilterVarVsVar(t *testing.T) {
 	if len(ans) != 1 {
 		t.Fatalf("answers = %d, want self-loop filtered", len(ans))
 	}
+}
+
+// appendAnswerKey appends the canonical ranking key of a binding over the
+// projected variables to buf: the key recordBinding feeds the top-k state.
+func appendAnswerKey(buf []byte, b map[string]rdf.TermID, proj []string) []byte {
+	for _, v := range proj {
+		buf = append(buf, v...)
+		buf = append(buf, '=')
+		buf = strconv.AppendUint(buf, uint64(b[v]), 10)
+		buf = append(buf, ';')
+	}
+	return buf
 }

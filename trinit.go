@@ -42,7 +42,6 @@ import (
 	"trinit/internal/rdf"
 	"trinit/internal/relax"
 	"trinit/internal/serial"
-	"trinit/internal/shard"
 	"trinit/internal/store"
 	"trinit/internal/suggest"
 	"trinit/internal/topk"
@@ -108,12 +107,6 @@ type Options struct {
 	// pattern entries (default 4096). Least-recently-used lists are
 	// evicted beyond the cap.
 	MatchCacheSize int
-	// NoPlanner disables join planning; match lists are built and
-	// joined in query-text pattern order (a naive baseline — even
-	// below the pre-planner engine, which sorted joins by exact list
-	// length). Answers are identical, work is not. Meant for
-	// baselines and testing.
-	NoPlanner bool
 	// NoHashJoin disables the hash-indexed join kernel: joins fall back
 	// to scanning every entry of every match list in exact-list-length
 	// order, without semi-join reduction (the pre-hash-join kernel).
@@ -159,19 +152,6 @@ type Options struct {
 	// not set its own WithBudget. The zero value is unlimited.
 	// Adjustable after construction with SetDefaultBudget.
 	DefaultBudget Budget
-	// Shards splits the frozen store into that many subject-hashed
-	// partitions evaluated by a scatter-gather coordinator (see package
-	// internal/shard and README "Sharded execution"). 0 or 1 keeps the
-	// classic single-store pipeline. Rankings are byte-identical at
-	// every shard count; shards exchange their running k-th-score bound
-	// so incremental pruning keeps working across the split. Overridable
-	// per query with WithoutSharding.
-	Shards int
-	// ShardReplicateFactor tunes which predicates the partitioner
-	// replicates to every shard for join co-location (see
-	// shard.PartitionOptions.ReplicateFactor): 0 uses the default,
-	// negative disables replication. Ignored without Shards > 1.
-	ShardReplicateFactor int
 	// CompactAfter triggers a background compaction (fold of the
 	// live-ingest delta into the base store, see Compact) once the delta
 	// holds at least that many triples. 0 disables auto-compaction:
@@ -181,12 +161,6 @@ type Options struct {
 	// segments eagerly onto the heap instead of memory-mapping them.
 	// Answers are identical; open time and resident memory are not.
 	NoMapSegments bool
-}
-
-// WithShards returns Options running the engine's queries over n
-// subject-hashed shards — convenience for trinit.New(trinit.WithShards(4)).
-func WithShards(n int) *Options {
-	return &Options{Shards: n}
 }
 
 // Budget caps the evaluation work of one query: join branches explored,
@@ -330,17 +304,6 @@ type Engine struct {
 	// mirrors ver.st. See version.go.
 	ver *storeVersion
 
-	// group is the sharded-execution coordinator (nil when Options.Shards
-	// <= 1): per-shard stores, caches and executor pools behind one
-	// scatter-gather merge. Built when the engine freezes, guarded by mu
-	// like ver. The full store e.st is retained either way — it serves
-	// as the corpus-wide normalisation-mass oracle, the WithoutSharding
-	// path, and the durability image. groupVer holds the store version
-	// the group partitioned, pinned for the group's lifetime so a
-	// compaction can never unmap columns the shards still reference.
-	group    *shard.Group
-	groupVer *storeVersion
-
 	// ingestMu serialises live ingest and compaction against each other
 	// (never against queries). Lock order: durability.mu, then ingestMu,
 	// then e.mu.
@@ -352,13 +315,6 @@ type Engine struct {
 	compactions   atomic.Uint64
 	retiredLive   atomic.Int64
 	ingestedFacts atomic.Uint64
-
-	// Sharding counters, exposed through ShardingStats and /metrics.
-	shardedQueries   atomic.Uint64
-	boundBroadcasts  atomic.Int64
-	crossShardPrunes atomic.Int64
-	shardMergeNanos  atomic.Int64
-	residualRewrites atomic.Int64
 
 	// admit gates query admission (nil = admission disabled); guarded
 	// by mu for replacement, snapshotted per query. defBudget is the
@@ -535,28 +491,11 @@ func (e *Engine) ExtendFromDocumentsWith(docs []Document, cfg ExtendConfig) (Ext
 	}, nil
 }
 
-// initQueryPipeline publishes the first store version over e.st —
-// wrapping the mapped segment backing it, if any — and, with
-// Options.Shards > 1, partitions the frozen store and builds the shard
-// coordinator. Called once, under e.mu, when the engine freezes or a
-// snapshot engine is assembled.
+// initQueryPipeline publishes the first store version over e.st,
+// wrapping the mapped segment backing it, if any. Called once, under
+// e.mu, when the engine freezes or a snapshot engine is assembled.
 func (e *Engine) initQueryPipeline(mapped *mappedRef, epoch uint64) {
 	e.publishLocked(newStoreVersion(e, e.st, e.st, nil, mapped, epoch))
-	if e.opts.Shards > 1 && e.st.Frozen() {
-		g, err := shard.NewGroup(e.st, e.opts.Shards,
-			e.topkOptions(), shard.PartitionOptions{ReplicateFactor: e.opts.ShardReplicateFactor})
-		if err == nil {
-			e.group = g
-			// The shard stores reference the partitioned version's columns
-			// (and, for replicated predicates, its dictionary); pin it for
-			// the group's lifetime so retirement can never unmap them.
-			e.groupVer = e.ver
-			e.groupVer.pin()
-		}
-		// Partition can only fail on an unfrozen store or n < 1, both
-		// excluded here; if it ever does, the engine degrades to the
-		// (identical-answer) unsharded pipeline rather than failing.
-	}
 }
 
 // Freeze finalises the graph: indexes are built and the engine becomes
@@ -883,14 +822,6 @@ type Metrics struct {
 	// BlockRowsFiltered counts candidate join rows the block kernel cut
 	// with the shared top-k bound before they were materialised.
 	BlockRowsFiltered int
-	// BoundBroadcasts counts bound-raising k-th-score exchanges between
-	// shards during this query (0 on unsharded engines and under
-	// WithoutSharding).
-	BoundBroadcasts int
-	// CrossShardPrunes counts prune decisions taken against a bound that
-	// arrived from another shard — work the bound exchange saved that
-	// shard-local knowledge alone would not have.
-	CrossShardPrunes int
 }
 
 // TraceEntry is one internal processing step: a rewrite considered by the
@@ -923,10 +854,6 @@ type TraceEntry struct {
 	SemiJoinKept []int
 	// Answers counts answers created or improved by the rewrite.
 	Answers int
-	// Shard is the shard whose run produced this entry (always 0 on
-	// unsharded engines; on a sharded engine the trace carries every
-	// shard's entries, shard-major).
-	Shard int
 }
 
 // Result is the outcome of one query.
@@ -947,9 +874,6 @@ type Result struct {
 	// context was cancelled or its deadline expired — and Answers holds
 	// only what had been found by then.
 	Partial bool
-	// Shards is the number of shards the query was scattered over (0
-	// when it ran the single-store pipeline).
-	Shards int
 
 	// src links back to the engine state needed to render explanations
 	// on demand (nil on results restored from serialisation).
@@ -967,18 +891,6 @@ type resultSource struct {
 	st    *store.Store
 	query *query.Query
 	raw   []topk.Answer
-	// stores[i] is the store raw[i]'s derivation must be resolved
-	// against — the winning shard's store on a sharded run, whose triple
-	// IDs are shard-local. nil means every answer reads st.
-	stores []*store.Store
-}
-
-// store returns the store answer i's derivation resolves against.
-func (s *resultSource) store(i int) *store.Store {
-	if s.stores != nil && i < len(s.stores) && s.stores[i] != nil {
-		return s.stores[i]
-	}
-	return s.st
 }
 
 // Explain renders the explanation of Answers[i] (0-based), computing it
@@ -996,7 +908,7 @@ func (r *Result) Explain(i int) (Explanation, error) {
 	if r.src == nil || i >= len(r.src.raw) {
 		return Explanation{}, errors.New("trinit: result carries no explanation source")
 	}
-	ex := explain.Explain(r.src.store(i), r.src.query, r.src.raw[i])
+	ex := explain.Explain(r.src.st, r.src.query, r.src.raw[i])
 	pub := publicExplanation(ex)
 	r.Answers[i].Explanation = pub
 	return pub, nil
@@ -1025,7 +937,6 @@ type queryConfig struct {
 	budget      Budget
 	noTrace     bool
 	noExplain   bool
-	noShard     bool
 }
 
 // QueryOption is a per-query knob of QueryContext, QueryStream and
@@ -1067,16 +978,6 @@ func WithoutTrace() QueryOption {
 // demand through Result.Explain.
 func WithoutExplanations() QueryOption {
 	return func(c *queryConfig) { c.noExplain = true }
-}
-
-// WithoutSharding runs this one query on the engine's full store
-// through the single-store pipeline, bypassing the shard coordinator of
-// an Options.Shards engine. Answers are identical by the sharding
-// guarantee — this is the in-API oracle for differential testing, and
-// an escape hatch for latency-critical point queries on small stores.
-// A no-op on unsharded engines.
-func WithoutSharding() QueryOption {
-	return func(c *queryConfig) { c.noShard = true }
 }
 
 // WithMode overrides the engine's processing mode for this query.
@@ -1219,13 +1120,10 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	}
 	e.mu.RLock()
 	frozen, rules := e.frozen, e.rules
-	admit, defBudget, group := e.admit, e.defBudget, e.group
+	admit, defBudget := e.admit, e.defBudget
 	e.mu.RUnlock()
 	if !frozen {
 		return nil, fmt.Errorf("%w (call Freeze before querying)", ErrNotFrozen)
-	}
-	if cfg.noShard {
-		group = nil
 	}
 	// Pin the published store version: the query reads this one store
 	// state — and the cache, executor pool and suggester derived from it —
@@ -1240,18 +1138,13 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	// Admission: a query weighs as many units as evaluation goroutines
 	// it may occupy, so capacity bounds total evaluation concurrency,
 	// not query count. Shed queries never reach expansion — no work is
-	// wasted on a query the engine cannot run. A sharded query scatters
-	// its evaluation over every shard at once, so it weighs N times a
-	// single-store query of the same parallelism.
+	// wasted on a query the engine cannot run.
 	e.queriesTotal.Add(1)
 	p := cfg.parallelism
 	if p == 0 {
 		p = e.opts.Parallelism
 	}
 	weight := int64(topk.EffectiveParallelism(p))
-	if group != nil {
-		weight *= int64(group.Shards())
-	}
 	if err := admit.Acquire(ctx, weight); err != nil {
 		if errors.Is(err, admission.ErrQueueFull) || errors.Is(err, admission.ErrDeadline) {
 			e.queriesShed.Add(1)
@@ -1303,40 +1196,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 	var answers []topk.Answer
 	var metrics topk.Metrics
 	var traces []TraceEntry
-	var shardStores []*store.Store
-	var broadcasts int64
-	switch {
-	case runErr != nil:
-	case group != nil:
-		// Sharded scatter-gather. The coordinator is its own panic
-		// boundary — a shard panic cancels the siblings and surfaces as
-		// a *topk.PanicError return — so no recover is needed here.
-		e.shardedQueries.Add(1)
-		var sres shard.RunResult
-		sres, runErr = group.Run(runCtx, q, rewrites, rcfg)
-		answers, metrics, broadcasts = sres.Answers, sres.Metrics, sres.Broadcasts
-		// Explanations must resolve each answer's derivation against the
-		// store that produced it: derivation triple IDs are store-local,
-		// and residual answers live in the retained full store.
-		shardStores = make([]*store.Store, len(sres.Answers))
-		for i, si := range sres.Shards {
-			shardStores[i] = group.AnswerStore(si)
-		}
-		e.boundBroadcasts.Add(sres.Broadcasts)
-		e.crossShardPrunes.Add(int64(sres.Metrics.CrossShardPrunes))
-		e.shardMergeNanos.Add(int64(sres.MergeTime))
-		e.residualRewrites.Add(int64(sres.Residual))
-		if !cfg.noTrace {
-			// Shard-major: shard 0's full rewrite trace, then shard 1's…
-			// Each entry names its shard, so provenance survives the
-			// concatenation.
-			for si, tr := range sres.Traces {
-				for _, t := range tr {
-					traces = append(traces, publicTraceEntry(t, si))
-				}
-			}
-		}
-	default:
+	if runErr == nil {
 		// The query-level panic boundary: a panic unwinding out of the
 		// serial evaluation path (worker panics are already recovered by
 		// the parallel scheduler and surface as a *topk.PanicError return)
@@ -1361,7 +1221,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 			if n := ev.TraceLen(); !cfg.noTrace && n > 0 {
 				traces = make([]TraceEntry, 0, n)
 				for _, t := range ev.LastTrace() {
-					traces = append(traces, publicTraceEntry(t, 0))
+					traces = append(traces, publicTraceEntry(t))
 				}
 			}
 		}()
@@ -1419,12 +1279,7 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 			ScanFallbacks:     metrics.ScanFallbacks,
 			BlocksEmitted:     metrics.BlocksEmitted,
 			BlockRowsFiltered: metrics.BlockRowsFiltered,
-			BoundBroadcasts:   int(broadcasts),
-			CrossShardPrunes:  metrics.CrossShardPrunes,
 		},
-	}
-	if group != nil {
-		res.Shards = group.Shards()
 	}
 	if cfg.noExplain {
 		// Keep the raw answers only when Explain may still need them: on
@@ -1434,18 +1289,14 @@ func (e *Engine) queryContext(ctx context.Context, text string, fn func(AnswerEv
 		// explanations dereference the pinned store, possibly long after
 		// this version is retired — released by a runtime cleanup when the
 		// source becomes unreachable.
-		res.src = &resultSource{ver: ver, st: st, query: q, raw: answers, stores: shardStores}
+		res.src = &resultSource{ver: ver, st: st, query: q, raw: answers}
 		ver.pin()
 		runtime.AddCleanup(res.src, releaseVersionPin, ver)
 	}
-	for i, a := range answers {
+	for _, a := range answers {
 		pub := publicAnswer(dict, a)
 		if !cfg.noExplain {
-			est := st
-			if shardStores != nil {
-				est = shardStores[i]
-			}
-			pub.Explanation = publicExplanation(explain.Explain(est, q, a))
+			pub.Explanation = publicExplanation(explain.Explain(st, q, a))
 		}
 		res.Answers = append(res.Answers, pub)
 	}
@@ -1498,9 +1349,8 @@ func budgetLimited(b Budget) bool {
 	return b.JoinBranches > 0 || b.HashProbes > 0 || b.Blocks > 0
 }
 
-// publicTraceEntry converts one processor trace record, tagging the
-// shard it came from (0 on the single-store pipeline).
-func publicTraceEntry(t topk.RewriteTrace, shard int) TraceEntry {
+// publicTraceEntry converts one processor trace record.
+func publicTraceEntry(t topk.RewriteTrace) TraceEntry {
 	return TraceEntry{
 		Query:          t.Query,
 		Weight:         t.Weight,
@@ -1511,7 +1361,6 @@ func publicTraceEntry(t topk.RewriteTrace, shard int) TraceEntry {
 		Plan:           t.Plan,
 		SemiJoinKept:   t.SemiJoinKept,
 		Answers:        t.Answers,
-		Shard:          shard,
 	}
 }
 
@@ -1671,48 +1520,8 @@ func (e *Engine) ServingStats() ServingStats {
 	}
 }
 
-// Reshard rebuilds the engine's sharded-execution coordinator over n
-// subject-hashed partitions; n <= 1 returns the engine to the
-// single-store pipeline. The engine must be frozen. Rankings are
-// byte-identical at every n, so resharding is safe mid-traffic:
-// in-flight queries keep the coordinator (or the unsharded pipeline)
-// they started with. The cumulative sharding counters are not reset.
-func (e *Engine) Reshard(n int) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.frozen {
-		return fmt.Errorf("%w: Reshard requires a frozen engine", ErrNotFrozen)
-	}
-	dropGroupVer := func() {
-		if e.groupVer != nil {
-			e.groupVer.unpin()
-			e.groupVer = nil
-		}
-	}
-	if n <= 1 {
-		e.group = nil
-		dropGroupVer()
-		return nil
-	}
-	g, err := shard.NewGroup(e.st, n, e.topkOptions(),
-		shard.PartitionOptions{ReplicateFactor: e.opts.ShardReplicateFactor})
-	if err != nil {
-		return err
-	}
-	e.group = g
-	// Pin the partitioned version for the new group's lifetime (the shard
-	// stores reference its columns), releasing the previous group's pin.
-	dropGroupVer()
-	if e.ver != nil {
-		e.groupVer = e.ver
-		e.groupVer.pin()
-	}
-	return nil
-}
-
 // topkOptions maps the engine options onto the processor's option set —
-// the one configuration every executor (pooled, per-shard, resharded)
-// is built from.
+// the one configuration every pooled executor is built from.
 func (e *Engine) topkOptions() topk.Options {
 	mode := topk.Incremental
 	if e.opts.Exhaustive {
@@ -1722,73 +1531,11 @@ func (e *Engine) topkOptions() topk.Options {
 		K:            e.opts.K,
 		Mode:         mode,
 		MinTokenSim:  e.opts.MinTokenSimilarity,
-		NoPlan:       e.opts.NoPlanner,
 		NoHashJoin:   e.opts.NoHashJoin,
 		NoSemiJoin:   e.opts.NoSemiJoin,
 		NoBlockJoin:  e.opts.NoBlockJoin,
 		NoTokenIndex: e.opts.NoTokenIndex,
 		Parallelism:  e.opts.Parallelism,
-	}
-}
-
-// ShardingStats reports the partitioning and activity of an engine's
-// sharded execution. Zero on unsharded engines (Shards == 0).
-type ShardingStats struct {
-	// Shards is the shard count (Options.Shards), 0 when sharding is
-	// off.
-	Shards int
-	// Triples[j] is shard j's total store size, replicated copies
-	// included; Owned[j] counts only the triples shard j owns by subject
-	// hash.
-	Triples []int
-	Owned   []int
-	// ReplicatedPreds counts predicates replicated to every shard for
-	// join co-location; ReplicatedTriples counts the source triples
-	// those predicates contribute (each copied to all shards).
-	ReplicatedPreds   int
-	ReplicatedTriples int
-	// Skew is max(Owned) over mean(Owned): 1.0 is a perfect balance.
-	Skew float64
-	// ShardedQueries counts queries that ran through the coordinator
-	// (WithoutSharding queries are excluded).
-	ShardedQueries uint64
-	// BoundBroadcasts counts bound-raising k-th-score exchanges between
-	// shards; CrossShardPrunes counts prune decisions taken against a
-	// bound received from another shard. Both cumulative since
-	// construction.
-	BoundBroadcasts  int64
-	CrossShardPrunes int64
-	// MergeTime is the cumulative wall-clock time spent gathering and
-	// merging per-shard rankings.
-	MergeTime time.Duration
-	// ResidualRewrites counts rewrites the coordinator evaluated on the
-	// retained full store because the partitioning could not co-locate
-	// their joins on any single shard.
-	ResidualRewrites int64
-}
-
-// ShardingStats returns a snapshot of the engine's sharded-execution
-// state, or the zero value when the engine is unsharded.
-func (e *Engine) ShardingStats() ShardingStats {
-	e.mu.RLock()
-	group := e.group
-	e.mu.RUnlock()
-	if group == nil {
-		return ShardingStats{}
-	}
-	ps := group.Stats()
-	return ShardingStats{
-		Shards:            group.Shards(),
-		Triples:           append([]int(nil), ps.Triples...),
-		Owned:             append([]int(nil), ps.Owned...),
-		ReplicatedPreds:   ps.ReplicatedPreds,
-		ReplicatedTriples: ps.ReplicatedTriples,
-		Skew:              ps.Skew,
-		ShardedQueries:    e.shardedQueries.Load(),
-		BoundBroadcasts:   e.boundBroadcasts.Load(),
-		CrossShardPrunes:  e.crossShardPrunes.Load(),
-		MergeTime:         time.Duration(e.shardMergeNanos.Load()),
-		ResidualRewrites:  e.residualRewrites.Load(),
 	}
 }
 
@@ -1884,7 +1631,7 @@ func DemoQueries() []DemoQuery {
 }
 
 // SyntheticConfig configures the synthetic world generator that stands in
-// for the paper's Yago2s + ClueWeb substrate (see DESIGN.md).
+// for the paper's Yago2s + ClueWeb substrate.
 type SyntheticConfig struct {
 	Seed         int64
 	People       int
